@@ -13,14 +13,16 @@ import (
 // recoverer (DC2 role). A single DC plays both roles — which one applies
 // depends on whether it is nearest the sender or the receiver of a flow.
 type DCNode struct {
-	d    *Deployment
-	id   core.NodeID
-	fwd  *forward.Forwarder
-	cch  *cache.Store
-	enc  *coding.Encoder
-	rec  *coding.Recoverer
-	arm  uint64 // timer generation counter (stale-timer guard)
-	drop uint64 // undecodable datagrams
+	d     *Deployment
+	id    core.NodeID
+	fwd   *forward.Forwarder
+	cch   *cache.Store
+	enc   *coding.Encoder
+	rec   *coding.Recoverer
+	arm   uint64    // timer generation counter (stale-timer guard)
+	armed bool      // a timer event is pending at armAt
+	armAt core.Time // when the pending timer event fires
+	drop  uint64    // undecodable datagrams
 
 	// egress holds the per-next-hop DRR schedulers when Config.Scheduler
 	// enables weighted fair queueing (lazily built; nil entries and a nil
@@ -468,23 +470,30 @@ func (n *DCNode) onCoopResp(now core.Time, hdr *wire.Header, body []byte) {
 	n.transmit(n.rec.OnCoopResp(now, hdr, &ref, payload))
 }
 
-// armTimer (re)schedules the DC's engine timers. A generation counter
-// invalidates superseded timer events.
+// armTimer schedules the DC's engine timer. It adds a sim event only when
+// the earliest deadline is earlier than the pending event, or none is
+// pending; an event that fires early (its deadline moved or went away)
+// finds nothing due and re-arms. A generation counter invalidates events
+// superseded by an earlier one.
 func (n *DCNode) armTimer() {
 	next, ok := n.nextDeadline()
 	if !ok {
 		return
 	}
-	n.arm++
-	gen := n.arm
-	now := n.d.sim.Now()
-	if next < now {
+	if now := n.d.sim.Now(); next < now {
 		next = now
 	}
+	if n.armed && n.armAt <= next {
+		return
+	}
+	n.arm++
+	gen := n.arm
+	n.armed, n.armAt = true, next
 	n.d.sim.At(next, func() {
 		if n.arm != gen {
-			return // superseded by a later arm
+			return // superseded by an earlier arm
 		}
+		n.armed = false
 		t := n.d.sim.Now()
 		// Timer-flushed batches carry parity too: route them like the
 		// batch-full flushes — through loopback, so a partial overlay's

@@ -1,6 +1,7 @@
 package jqos
 
 import (
+	"slices"
 	"time"
 
 	"jqos/internal/core"
@@ -19,8 +20,12 @@ type Host struct {
 
 	receivers map[core.FlowID]*recovery.Receiver
 	onDeliver func(core.Delivery)
-	arm       uint64
+	arm       uint64    // timer generation counter (stale-timer guard)
+	armed     bool      // a timer event is pending at armAt
+	armAt     core.Time // when the pending timer event fires
 	drop      uint64
+	// timerFlows is scratch for visiting receivers in FlowID order.
+	timerFlows []core.FlowID
 
 	// unsol lists receivers created for flow IDs the deployment never
 	// allocated (forged or external packets), in least-recently-used
@@ -287,8 +292,10 @@ func (h *Host) PullFlow(flow core.FlowID, after core.Seq) {
 	h.armTimer()
 }
 
-// armTimer schedules the earliest receiver deadline (generation-guarded,
-// like DCNode).
+// armTimer schedules the earliest receiver deadline. Like DCNode's, it
+// adds a sim event only when that deadline is earlier than the pending
+// one, and a generation counter invalidates superseded events. Receivers
+// fire in FlowID order, so a seed reproduces its run.
 func (h *Host) armTimer() {
 	var min core.Time
 	found := false
@@ -300,19 +307,32 @@ func (h *Host) armTimer() {
 	if !found {
 		return
 	}
-	h.arm++
-	gen := h.arm
-	now := h.d.sim.Now()
-	if min < now {
+	if now := h.d.sim.Now(); min < now {
 		min = now
 	}
+	if h.armed && h.armAt <= min {
+		return
+	}
+	h.arm++
+	gen := h.arm
+	h.armed, h.armAt = true, min
 	h.d.sim.At(min, func() {
 		if h.arm != gen {
 			return
 		}
+		h.armed = false
 		t := h.d.sim.Now()
-		for _, r := range h.receivers {
-			h.process(t, r.OnTimer(t))
+		flows := h.timerFlows[:0]
+		for id := range h.receivers {
+			flows = append(flows, id)
+		}
+		slices.Sort(flows)
+		h.timerFlows = flows
+		for _, id := range flows {
+			// A delivery callback may have closed a flow meanwhile.
+			if r, ok := h.receivers[id]; ok {
+				h.process(t, r.OnTimer(t))
+			}
 		}
 		h.armTimer()
 	})

@@ -3,6 +3,14 @@
 // cross-stream Reed-Solomon parity over the inter-DC path, and the DC2
 // recovery engine that answers receiver NACKs via cached parity and the
 // cooperative recovery protocol (§4.4).
+//
+// Timers: both engines keep their deadlines (open queues; cached batches,
+// cooperative recoveries and parked NACKs) in a min-heap checked lazily
+// against live state, so NextDeadline is O(1) amortised and OnTimer pops
+// only what is due. Engine time must not run backwards (the simulator's
+// clock and the endpoints' monotonic clock do not). A caller may re-arm
+// its clock only when NextDeadline moves earlier: a tick that finds
+// nothing due is harmless.
 package coding
 
 import (
@@ -109,18 +117,24 @@ type srcPkt struct {
 	payload []byte
 }
 
+// timer, on both queue kinds, is the push stamp of the queue's live
+// deadline-heap entry, 0 while the queue is empty: an entry with another
+// stamp is stale.
 type inQueue struct {
 	flow     core.FlowID
 	dc2      core.NodeID
 	pkts     []srcPkt
 	deadline core.Time
+	timer    uint64
 }
 
 type crossQueue struct {
+	dc2      core.NodeID
 	pkts     []srcPkt
 	flows    map[core.FlowID]bool
 	deadline core.Time
 	opened   core.Time
+	timer    uint64
 }
 
 func (q *crossQueue) reset() {
@@ -129,11 +143,14 @@ func (q *crossQueue) reset() {
 		delete(q.flows, f)
 	}
 	q.deadline = 0
+	q.timer = 0
 }
 
-type crossSet struct {
-	dc2 core.NodeID
-	qs  []*crossQueue
+// queueTimer names the queue behind one deadline-heap entry: exactly one
+// of in and cross is set.
+type queueTimer struct {
+	in    *inQueue
+	cross *crossQueue
 }
 
 // crossKey groups cross-stream batches: flows are coded together only
@@ -159,13 +176,13 @@ type Encoder struct {
 	self core.NodeID
 
 	inQs map[core.FlowID]*inQueue
-	// cross is keyed by (dc2, path policy); crossKeys mirrors it in
-	// ascending (dc2, policy) order so timer flushes emit
-	// deterministically however many sets are live.
-	cross     map[crossKey]*crossSet
-	crossKeys []crossKey
-	rrIdx     map[core.FlowID]int
-	codecs    map[[2]int]*rs.Codec
+	// cross holds Algorithm 1's queue set per (dc2, path policy).
+	cross  map[crossKey][]*crossQueue
+	rrIdx  map[core.FlowID]int
+	codecs map[[2]int]*rs.Codec
+	// deadlines holds an entry for every open queue; timer flushes
+	// follow it in (deadline, open) order.
+	deadlines deadlineHeap[queueTimer]
 
 	batchSeq uint64
 	stats    EncoderStats
@@ -180,7 +197,7 @@ func NewEncoder(self core.NodeID, cfg EncoderConfig) (*Encoder, error) {
 		cfg:    cfg,
 		self:   self,
 		inQs:   make(map[core.FlowID]*inQueue),
-		cross:  make(map[crossKey]*crossSet),
+		cross:  make(map[crossKey][]*crossQueue),
 		rrIdx:  make(map[core.FlowID]int),
 		codecs: make(map[[2]int]*rs.Codec),
 	}, nil
@@ -198,6 +215,9 @@ func (e *Encoder) Stats() EncoderStats { return e.stats }
 // still hold the flow's packets; they flush or expire on their own
 // bounded timers, so nothing here grows with flow churn.
 func (e *Encoder) ForgetFlow(flow core.FlowID) {
+	if q := e.inQs[flow]; q != nil {
+		q.timer = 0
+	}
 	delete(e.inQs, flow)
 	delete(e.rrIdx, flow)
 }
@@ -255,6 +275,7 @@ func (e *Encoder) OnDataPolicy(now core.Time, dc2, receiver core.NodeID, flow co
 		}
 		if len(q.pkts) == 0 {
 			q.deadline = now + e.cfg.InTimeout
+			q.timer = e.deadlines.push(q.deadline, queueTimer{in: q})
 		}
 		q.dc2 = dc2
 		q.pkts = append(q.pkts, srcPkt{ref: ref, payload: append([]byte(nil), payload...)})
@@ -267,26 +288,25 @@ func (e *Encoder) OnDataPolicy(now core.Time, dc2, receiver core.NodeID, flow co
 	key := crossKey{dc2: dc2, policy: policy}
 	set := e.cross[key]
 	if set == nil {
-		set = &crossSet{dc2: dc2, qs: make([]*crossQueue, e.cfg.CrossQueues)}
-		for i := range set.qs {
-			set.qs[i] = &crossQueue{flows: make(map[core.FlowID]bool)}
+		set = make([]*crossQueue, e.cfg.CrossQueues)
+		for i := range set {
+			set[i] = &crossQueue{dc2: dc2, flows: make(map[core.FlowID]bool)}
 		}
 		e.cross[key] = set
-		e.insertCrossKey(key)
 	}
 	qi := e.rrIdx[flow] % e.cfg.CrossQueues
 	e.rrIdx[flow] = (qi + 1) % e.cfg.CrossQueues
-	q := set.qs[qi]
+	q := set[qi]
 	initial := qi
 	// Find a queue without a packet from this flow (lines 9–12).
 	for q.flows[flow] {
 		qi = (qi + 1) % e.cfg.CrossQueues
-		q = set.qs[qi]
+		q = set[qi]
 		if qi == initial {
 			// Every queue holds this flow (lines 13–19): flush the
 			// initial queue if it has cross-flow value, else discard.
 			if len(q.pkts) > 1 {
-				emits = append(emits, e.flushCross(now, dc2, q)...)
+				emits = append(emits, e.flushCross(now, q)...)
 			} else {
 				q.reset()
 				e.stats.Evicted++
@@ -297,29 +317,14 @@ func (e *Encoder) OnDataPolicy(now core.Time, dc2, receiver core.NodeID, flow co
 	if len(q.pkts) == 0 {
 		q.deadline = now + e.cfg.CrossTimeout
 		q.opened = now
+		q.timer = e.deadlines.push(q.deadline, queueTimer{cross: q})
 	}
 	q.flows[flow] = true
 	q.pkts = append(q.pkts, srcPkt{ref: ref, payload: append([]byte(nil), payload...)})
 	if len(q.pkts) >= e.cfg.K {
-		emits = append(emits, e.flushCross(now, dc2, q)...)
+		emits = append(emits, e.flushCross(now, q)...)
 	}
 	return emits
-}
-
-// insertCrossKey keeps crossKeys sorted ascending by (dc2, policy) as
-// new sets appear, so map-backed iteration stays deterministic.
-func (e *Encoder) insertCrossKey(k crossKey) {
-	i := 0
-	for i < len(e.crossKeys) {
-		c := e.crossKeys[i]
-		if c.dc2 > k.dc2 || (c.dc2 == k.dc2 && c.policy > k.policy) {
-			break
-		}
-		i++
-	}
-	e.crossKeys = append(e.crossKeys, crossKey{})
-	copy(e.crossKeys[i+1:], e.crossKeys[i:])
-	e.crossKeys[i] = k
 }
 
 // flushIn encodes an in-stream block and resets the queue.
@@ -332,15 +337,16 @@ func (e *Encoder) flushIn(now core.Time, q *inQueue) []core.Emit {
 	e.stats.InCoded += uint64(e.cfg.InParity)
 	q.pkts = q.pkts[:0]
 	q.deadline = 0
+	q.timer = 0
 	return emits
 }
 
 // flushCross encodes a cross-stream batch and resets the queue.
-func (e *Encoder) flushCross(now core.Time, dc2 core.NodeID, q *crossQueue) []core.Emit {
+func (e *Encoder) flushCross(now core.Time, q *crossQueue) []core.Emit {
 	if len(q.pkts) == 0 {
 		return nil
 	}
-	emits := e.encodeBatch(now, dc2, q.pkts, wire.CrossStream, e.cfg.CrossParity)
+	emits := e.encodeBatch(now, q.dc2, q.pkts, wire.CrossStream, e.cfg.CrossParity)
 	e.stats.CrossBatches++
 	e.stats.CrossCoded += uint64(e.cfg.CrossParity)
 	q.reset()
@@ -396,66 +402,59 @@ func (e *Encoder) encodeBatch(now core.Time, dc2 core.NodeID, pkts []srcPkt, kin
 	return emits
 }
 
-// NextDeadline reports the earliest queue timeout, if any queue is open.
+// NextDeadline reports the earliest queue timeout, if any queue is open:
+// O(1) amortised, as each stale heap entry is popped once.
 func (e *Encoder) NextDeadline() (core.Time, bool) {
-	var min core.Time
-	found := false
-	consider := func(d core.Time) {
-		if d == 0 {
-			return
+	t, ok := e.top()
+	return t.at, ok
+}
+
+// top returns the earliest open queue's entry, first popping entries of
+// queues flushed or forgotten since they were pushed.
+func (e *Encoder) top() (deadline[queueTimer], bool) {
+	for e.deadlines.len() > 0 {
+		t := e.deadlines.top()
+		if (t.v.in != nil && t.v.in.timer == t.seq) || (t.v.cross != nil && t.v.cross.timer == t.seq) {
+			return t, true
 		}
-		if !found || d < min {
-			min, found = d, true
-		}
+		e.deadlines.pop()
 	}
-	for _, q := range e.inQs {
-		if len(q.pkts) > 0 {
-			consider(q.deadline)
-		}
-	}
-	for _, set := range e.cross {
-		for _, q := range set.qs {
-			if len(q.pkts) > 0 {
-				consider(q.deadline)
-			}
-		}
-	}
-	return min, found
+	return deadline[queueTimer]{}, false
 }
 
 // OnTimer flushes every queue whose deadline has passed ("On expiry of a
-// queue timer, DC1 encodes all packets in the queue and sends them").
+// queue timer, DC1 encodes all packets in the queue and sends them"), in
+// (deadline, open) order.
 func (e *Encoder) OnTimer(now core.Time) []core.Emit {
 	var emits []core.Emit
-	for _, q := range e.inQs {
-		if len(q.pkts) > 0 && q.deadline <= now {
-			emits = append(emits, e.flushIn(now, q)...)
-			e.stats.TimerFlushes++
+	for {
+		t, ok := e.top()
+		if !ok || t.at > now {
+			return emits
 		}
+		emits = append(emits, e.flush(now, t.v)...)
+		e.stats.TimerFlushes++
 	}
-	for _, k := range e.crossKeys {
-		set := e.cross[k]
-		for _, q := range set.qs {
-			if len(q.pkts) > 0 && q.deadline <= now {
-				emits = append(emits, e.flushCross(now, set.dc2, q)...)
-				e.stats.TimerFlushes++
-			}
-		}
-	}
-	return emits
 }
 
-// Flush force-encodes everything still queued (end of experiment).
+// Flush force-encodes everything still queued (end of experiment), in
+// deadline order.
 func (e *Encoder) Flush(now core.Time) []core.Emit {
 	var emits []core.Emit
-	for _, q := range e.inQs {
-		emits = append(emits, e.flushIn(now, q)...)
-	}
-	for _, k := range e.crossKeys {
-		set := e.cross[k]
-		for _, q := range set.qs {
-			emits = append(emits, e.flushCross(now, set.dc2, q)...)
+	for {
+		t, ok := e.top()
+		if !ok {
+			return emits
 		}
+		emits = append(emits, e.flush(now, t.v)...)
 	}
-	return emits
+}
+
+// flush encodes the queue a live heap entry names; emptying the queue
+// makes the entry stale.
+func (e *Encoder) flush(now core.Time, t queueTimer) []core.Emit {
+	if t.in != nil {
+		return e.flushIn(now, t.in)
+	}
+	return e.flushCross(now, t.cross)
 }

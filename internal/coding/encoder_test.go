@@ -240,7 +240,7 @@ func TestSameFlowNeverSharesCrossQueue(t *testing.T) {
 	}
 	// Verify the invariant directly on the internal queues.
 	for _, set := range e.cross {
-		for _, q := range set.qs {
+		for _, q := range set {
 			flows := map[core.FlowID]int{}
 			for _, p := range q.pkts {
 				flows[p.ref.Flow]++

@@ -2,6 +2,7 @@ package coding
 
 import (
 	"fmt"
+	"slices"
 
 	"jqos/internal/core"
 	"jqos/internal/rs"
@@ -75,6 +76,28 @@ type recoveryState struct {
 	done      bool
 }
 
+// recTimerKind says which object a Recoverer deadline times out.
+type recTimerKind uint8
+
+const (
+	timerBatch    recTimerKind = iota // batches[batch] expires
+	timerRecovery                     // recoveries[{batch, id}] gives up
+	timerPending                      // pending[id] stops waiting for parity
+)
+
+// recTimer names the object behind one deadline-heap entry.
+type recTimer struct {
+	kind  recTimerKind
+	batch uint64
+	id    core.PacketID
+}
+
+// recentEntry is one recent-map insertion, kept in insertion order.
+type recentEntry struct {
+	id    core.PacketID
+	until core.Time
+}
+
 type pendingNACK struct {
 	id         core.PacketID
 	requester  core.NodeID
@@ -103,6 +126,14 @@ type Recoverer struct {
 	recent map[core.PacketID]core.Time
 	codecs map[[2]int]*rs.Codec
 	stats  RecovererStats
+
+	// deadlines holds an entry for every cached batch, live cooperative
+	// recovery and parked NACK (see top). recentQ lists recent's
+	// insertions from recentHead on; their TTL is constant, so insertion
+	// order is expiry order and recent needs no timer of its own.
+	deadlines  deadlineHeap[recTimer]
+	recentQ    []recentEntry
+	recentHead int
 }
 
 // NewRecoverer builds the DC2 engine.
@@ -147,6 +178,7 @@ func (r *Recoverer) codec(k, m int) *rs.Codec {
 // packets at DC2" is one of the paper's tail causes — parking hides it).
 func (r *Recoverer) OnCoded(now core.Time, hdr *wire.Header, meta *wire.Coded, shard []byte) []core.Emit {
 	b := r.batches[meta.Batch]
+	expires := now + r.cfg.BatchTTL
 	if b == nil {
 		b = &batchState{
 			meta:     *meta,
@@ -159,8 +191,11 @@ func (r *Recoverer) OnCoded(now core.Time, hdr *wire.Header, meta *wire.Coded, s
 			id := core.PacketID{Flow: src.Flow, Seq: src.Seq}
 			r.byPacket[id] = append(r.byPacket[id], meta.Batch)
 		}
+		r.deadlines.push(expires, recTimer{kind: timerBatch, batch: meta.Batch})
 	}
-	b.expires = now + r.cfg.BatchTTL
+	// A refresh only moves the expiry later, so it needs no push: the
+	// batch's entry re-pushes itself when it surfaces (top).
+	b.expires = expires
 	if _, dup := b.parity[int(meta.Index)]; !dup {
 		b.parity[int(meta.Index)] = append([]byte(nil), shard...)
 		r.stats.CodedStored++
@@ -229,10 +264,12 @@ func (r *Recoverer) recover(now core.Time, id core.PacketID, from core.NodeID, f
 	// before undertaking the recovery" (§3.4) — so recoveries that a
 	// direct arrival has since made moot are never pushed.
 	if _, parked := r.pending[id]; !parked {
-		r.pending[id] = &pendingNACK{
+		p := &pendingNACK{
 			id: id, requester: from, expires: now + r.cfg.PendingTTL,
 			wantVerify: r.cfg.VerifyFirst && flags&wire.FlagWantVerify != 0,
 		}
+		r.pending[id] = p
+		r.deadlines.push(p.expires, recTimer{kind: timerPending, id: id})
 	}
 	return nil
 }
@@ -257,8 +294,15 @@ func (r *Recoverer) coveringBatches(id core.PacketID) (in, cross *batchState) {
 // sendParity forwards a batch's parity shards to the receiver for local
 // decode (in-stream recovery: latency y + 2δ, no helpers involved).
 func (r *Recoverer) sendParity(now core.Time, b *batchState, to core.NodeID) []core.Emit {
+	// Emit in index order: map order would make same-seed runs differ.
+	idxs := make([]int, 0, 8)
+	for idx := range b.parity {
+		idxs = append(idxs, idx)
+	}
+	slices.Sort(idxs)
 	emits := make([]core.Emit, 0, len(b.parity))
-	for idx, shard := range b.parity {
+	for _, idx := range idxs {
+		shard := b.parity[idx]
 		meta := b.meta
 		meta.Index = uint8(idx)
 		meta.ShardLen = uint16(len(shard))
@@ -286,6 +330,7 @@ func (r *Recoverer) startCoop(now core.Time, b *batchState, id core.PacketID, fr
 		deadline:  now + r.cfg.RecoveryDeadline,
 	}
 	r.recoveries[key] = rec
+	r.deadlines.push(rec.deadline, recTimer{kind: timerRecovery, batch: key.batch, id: id})
 	r.stats.CoopStarted++
 	var emits []core.Emit
 	for _, src := range b.meta.Sources {
@@ -383,7 +428,9 @@ func (r *Recoverer) tryDecode(now core.Time, rec *recoveryState) []core.Emit {
 		return nil
 	}
 	rec.done = true
-	r.recent[rec.key.want] = now + r.cfg.RecoveryDeadline
+	until := now + r.cfg.RecoveryDeadline
+	r.recent[rec.key.want] = until
+	r.recentQ = append(r.recentQ, recentEntry{id: rec.key.want, until: until})
 	r.stats.CoopRecovered++
 	if len(rec.data) < rec.helpers {
 		r.stats.StragglersSaved++
@@ -413,66 +460,112 @@ func (r *Recoverer) OnVerifyResp(now core.Time, hdr *wire.Header) []core.Emit {
 	return r.recover(now, id, p.requester, 0)
 }
 
-// NextDeadline reports the earliest engine timeout.
+// NextDeadline reports the earliest engine timeout: O(1) amortised, as
+// each stale heap entry is popped once.
 func (r *Recoverer) NextDeadline() (core.Time, bool) {
-	var min core.Time
-	found := false
-	consider := func(d core.Time) {
-		if !found || d < min {
-			min, found = d, true
+	e, ok := r.top()
+	return e.at, ok
+}
+
+// top returns the earliest live deadline. Entries are checked lazily
+// against the live state: one whose object is gone, or whose object's
+// deadline no longer equals the entry's, is popped. A batch that OnCoded
+// refreshed is pushed again at its new expiry; a finished recovery, kept
+// only for its timer, is deleted.
+func (r *Recoverer) top() (deadline[recTimer], bool) {
+	for r.deadlines.len() > 0 {
+		e := r.deadlines.top()
+		due, live := r.due(e.v)
+		if live && due == e.at {
+			return e, true
+		}
+		r.deadlines.pop()
+		if live && due > e.at && e.v.kind == timerBatch {
+			r.deadlines.push(due, e.v)
 		}
 	}
-	for _, b := range r.batches {
-		consider(b.expires)
-	}
-	for _, rec := range r.recoveries {
-		if !rec.done {
-			consider(rec.deadline)
+	return deadline[recTimer]{}, false
+}
+
+// due reports when the object t names falls due, or false if it is gone.
+func (r *Recoverer) due(t recTimer) (core.Time, bool) {
+	switch t.kind {
+	case timerBatch:
+		if b := r.batches[t.batch]; b != nil {
+			return b.expires, true
+		}
+	case timerRecovery:
+		key := recoveryKey{batch: t.batch, want: t.id}
+		if rec := r.recoveries[key]; rec != nil {
+			if !rec.done {
+				return rec.deadline, true
+			}
+			// startCoop and OnCoopResp treat a done recovery as absent.
+			delete(r.recoveries, key)
+		}
+	case timerPending:
+		if p := r.pending[t.id]; p != nil {
+			return p.expires, true
 		}
 	}
-	for _, p := range r.pending {
-		consider(p.expires)
-	}
-	return min, found
+	return 0, false
 }
 
 // OnTimer expires batches, fails silent recoveries past deadline, and
-// drops stale parked NACKs.
+// drops stale parked NACKs: it pops only the entries that are due.
 func (r *Recoverer) OnTimer(now core.Time) []core.Emit {
-	for bid, b := range r.batches {
-		if b.expires <= now {
-			for _, src := range b.meta.Sources {
-				id := core.PacketID{Flow: src.Flow, Seq: src.Seq}
-				r.byPacket[id] = removeBatch(r.byPacket[id], bid)
-				if len(r.byPacket[id]) == 0 {
-					delete(r.byPacket, id)
-					delete(r.attempts, id)
-				}
-			}
-			delete(r.batches, bid)
+	for {
+		e, ok := r.top()
+		if !ok || e.at > now {
+			break
 		}
-	}
-	for key, rec := range r.recoveries {
-		if rec.done || rec.deadline <= now {
-			if !rec.done {
-				r.stats.CoopFailed++
-			}
-			delete(r.recoveries, key)
-		}
-	}
-	for id, p := range r.pending {
-		if p.expires <= now {
-			delete(r.pending, id)
+		r.deadlines.pop()
+		switch e.v.kind {
+		case timerBatch:
+			r.expireBatch(e.v.batch)
+		case timerRecovery:
+			delete(r.recoveries, recoveryKey{batch: e.v.batch, want: e.v.id})
+			r.stats.CoopFailed++
+		case timerPending:
+			delete(r.pending, e.v.id)
 			r.stats.PendingExpired++
 			r.stats.Unrecoverable++
 		}
 	}
-	for id, until := range r.recent {
-		if until <= now {
-			delete(r.recent, id)
+	r.expireRecent(now)
+	return nil
+}
+
+// expireBatch drops a cached batch and its per-packet index entries.
+func (r *Recoverer) expireBatch(bid uint64) {
+	b := r.batches[bid]
+	for _, src := range b.meta.Sources {
+		id := core.PacketID{Flow: src.Flow, Seq: src.Seq}
+		r.byPacket[id] = removeBatch(r.byPacket[id], bid)
+		if len(r.byPacket[id]) == 0 {
+			delete(r.byPacket, id)
+			delete(r.attempts, id)
 		}
 	}
-	return nil
+	delete(r.batches, bid)
+}
+
+// expireRecent forgets recoveries whose in-flight grace has passed, from
+// the front of the insertion-ordered queue. An entry that a later
+// recovery of the same packet overwrote stays in the map.
+func (r *Recoverer) expireRecent(now core.Time) {
+	q := r.recentQ
+	for r.recentHead < len(q) && q[r.recentHead].until <= now {
+		e := q[r.recentHead]
+		if r.recent[e.id] == e.until {
+			delete(r.recent, e.id)
+		}
+		r.recentHead++
+	}
+	if r.recentHead > len(q)/2 {
+		n := copy(q, q[r.recentHead:])
+		r.recentQ, r.recentHead = q[:n], 0
+	}
 }
 
 func removeBatch(s []uint64, bid uint64) []uint64 {

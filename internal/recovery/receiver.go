@@ -8,6 +8,7 @@ package recovery
 
 import (
 	"fmt"
+	"slices"
 
 	"jqos/internal/core"
 	"jqos/internal/rs"
@@ -180,6 +181,10 @@ type Receiver struct {
 	flows map[core.FlowID]*flowState
 	inDec map[uint64]*inDecode
 	stats Stats
+	// flowIDs and seqs are OnTimer's scratch for visiting flows and
+	// missing packets in order, so a seed reproduces its NACKs.
+	flowIDs []core.FlowID
+	seqs    []core.Seq
 }
 
 // New builds a receiver engine.
@@ -563,9 +568,16 @@ func (r *Receiver) NextDeadline() (core.Time, bool) {
 }
 
 // OnTimer advances the Markov model and retry/give-up bookkeeping.
+// Flows are visited in FlowID order and missing packets in seq order.
 func (r *Receiver) OnTimer(now core.Time) Result {
 	var res Result
-	for _, fs := range r.flows {
+	r.flowIDs = r.flowIDs[:0]
+	for id := range r.flows {
+		r.flowIDs = append(r.flowIDs, id)
+	}
+	slices.Sort(r.flowIDs)
+	for _, id := range r.flowIDs {
+		fs := r.flows[id]
 		if fs.deadline != 0 && fs.deadline <= now {
 			switch fs.state {
 			case stateBurst:
@@ -602,7 +614,13 @@ func (r *Receiver) OnTimer(now core.Time) Result {
 			}
 		}
 		// NACK retries and give-ups.
-		for seq, ms := range fs.missing {
+		r.seqs = r.seqs[:0]
+		for seq := range fs.missing {
+			r.seqs = append(r.seqs, seq)
+		}
+		slices.Sort(r.seqs)
+		for _, seq := range r.seqs {
+			ms := fs.missing[seq]
 			if now-ms.firstMiss >= r.cfg.GiveUpAfter {
 				delete(fs.missing, seq)
 				r.stats.GaveUp++

@@ -315,6 +315,16 @@
 //
 // See examples/tenancy and experiment "tenancy".
 //
+// # Timers
+//
+// Each DC and host keeps one pending sim event for its engines' earliest
+// deadline. The coding engines answer NextDeadline from a deadline heap
+// in O(1) amortised time. armTimer schedules a new event only when the
+// earliest deadline moves EARLIER than the pending one; an event that
+// fires early, because its deadline moved later or went away, finds
+// nothing due and re-arms. Timer work visits receivers, flows and
+// missing packets in ID order, so a seed reproduces its run.
+//
 // # Quick start
 //
 //	cfg := jqos.DefaultConfig()
